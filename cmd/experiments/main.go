@@ -9,7 +9,7 @@
 //	experiments -faults             degraded-topology sweep (failed links)
 //	experiments -shift              shifting-traffic sweep (online re-optimization)
 //	experiments -placement          multi-tenant placement churn sweep
-//	experiments -churn              churn convergence sweep (incremental vs full re-optimization)
+//	experiments -churn              churn convergence sweep (placement + re-optimization under link flaps)
 //	experiments -fidelity           analytic bound vs venus simulation (rank agreement)
 //	experiments -all                everything above
 //
@@ -49,7 +49,7 @@ func main() {
 		faults   = flag.Bool("faults", false, "extension: degraded-topology sweep (failed top-level links)")
 		shift    = flag.Bool("shift", false, "extension: shifting-traffic sweep (static d-mod-k vs online re-optimization)")
 		place    = flag.Bool("placement", false, "extension: multi-tenant placement churn sweep (scheduler policies)")
-		churn    = flag.Bool("churn", false, "extension: churn convergence sweep (incremental vs full re-optimization)")
+		churn    = flag.Bool("churn", false, "extension: churn convergence sweep (placement + re-optimization under link flaps)")
 		fidelity = flag.Bool("fidelity", false, "extension: analytic bound vs venus simulation fidelity sweep")
 		ablate   = flag.Bool("ablation", false, "ablation: balanced vs uniform relabeling")
 		adaptive = flag.Bool("adaptive", false, "extension: adaptive vs oblivious routing")
@@ -255,12 +255,12 @@ func main() {
 			fmt.Println("=== Extension — churn convergence — skipped (analytic engine only) ===")
 			fmt.Println()
 		} else {
-			done := section("Extension — churn convergence (incremental vs full re-optimization)")
-			rows, err := experiments.ChurnSweep(opt)
+			done := section("Extension — churn convergence (placement + re-optimization under link flaps)")
+			row, err := experiments.ChurnSweep(opt)
 			if err != nil {
 				fail(err)
 			}
-			experiments.WriteChurnSweep(os.Stdout, rows)
+			experiments.WriteChurnSweep(os.Stdout, row)
 			done()
 		}
 	}

@@ -26,9 +26,10 @@ func TestSpanInventoryDocumented(t *testing.T) {
 	}
 	// The incremental-evaluation instruments ride the same drift
 	// check: the "Incremental evaluation" docs sections must name
-	// every metric and journal event the delta paths record.
+	// every metric the scheduler's delta path records.
 	inventory = append(inventory, evaluate.DeltaMetricNames()...)
-	inventory = append(inventory, fabric.IncrementalObsNames()...)
+	// Instruments the fabric no longer records must not be documented.
+	retired := []string{"optimize_candidates_incremental", "optimize.incremental"}
 
 	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md"} {
 		body, err := os.ReadFile(doc)
@@ -39,6 +40,11 @@ func TestSpanInventoryDocumented(t *testing.T) {
 		for _, name := range inventory {
 			if !strings.Contains(text, name) {
 				t.Errorf("%s does not document span %q", doc, name)
+			}
+		}
+		for _, name := range retired {
+			if strings.Contains(text, name) {
+				t.Errorf("%s still documents the retired instrument %q", doc, name)
 			}
 		}
 	}

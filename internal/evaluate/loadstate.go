@@ -18,12 +18,12 @@ import (
 // bit-identically; the differential property test in
 // loadstate_test.go enforces exactly that against contention.Analyze.
 //
-// Two delta shapes cover every caller:
+// Two delta shapes:
 //
-//   - ApplyRouteDelta: the same flows move to different routes
-//     (fabric.Optimize scoring a candidate table against the serving
-//     generation). Endpoint loads are untouched, so only channel
-//     entries of the touched routes update.
+//   - ApplyRouteDelta: the same flows move to different routes (a
+//     candidate table scored against the serving one). Endpoint loads
+//     are untouched, so only channel entries of the touched routes
+//     update.
 //   - ApplyPatternDelta: flows appear or disappear (sched scoring a
 //     candidate placement against the background traffic). Endpoint
 //     and channel loads both update.
@@ -140,7 +140,7 @@ func (ls *LoadState) CrossbarBound() int64 { return ls.crossbar.max() }
 
 // LinksTouched returns the cumulative number of per-resource load
 // updates applied by deltas since construction — the O(touched links)
-// work measure the churn sweep reports.
+// work measure.
 func (ls *LoadState) LinksTouched() uint64 { return ls.touched }
 
 // ApplyRouteDelta moves the given flows from oldRoutes to newRoutes.

@@ -17,18 +17,16 @@ import (
 	"repro/internal/xgft"
 )
 
-// The churn convergence sweep: the incremental-evaluation claim is
-// operational, not just microbenchmarked — under sustained job
-// arrivals, departures and link flaps, a fabric that converges by
-// deltas must reach each new generation with exactly the decisions a
-// from-scratch fabric makes, faster. This sweep drives the same
-// keyed-hash churn schedule through two modes per seed — delta
-// scoring (the default) and forced full rebuilds — folds every
-// placement and optimizer decision into a hash, and refuses to return
-// if the modes ever diverge. Wall-clock figures (time to a new
-// generation, placement rate) are observational and rendered in
-// bracketed lines; everything else is a pure function of the cell
-// coordinates, so runs are byte-identical at any Parallelism.
+// The churn convergence sweep: under sustained job arrivals,
+// departures and link flaps, how fast does the control plane reach
+// each new generation? This sweep drives a keyed-hash churn schedule
+// per seed through a telemetry-placement scheduler and a
+// re-optimizing fabric, and folds every placement and optimizer
+// decision into a hash — the fingerprint the tests compare across
+// evaluator backends. Wall-clock figures (time to a new generation,
+// placement rate) are observational and rendered in bracketed lines;
+// everything else is a pure function of the cell coordinates, so runs
+// are byte-identical at any Parallelism.
 
 // churnSeed domain-separates the churn schedule's draws.
 const churnSeed = 0xc84a7
@@ -45,9 +43,6 @@ const (
 	churnHealAfter = 2
 	churnThreshold = 0.0
 )
-
-// churnModes enumerates the compared modes in result order.
-var churnModes = []string{"incremental", "full"}
 
 // churnJob is one arrival of the churn schedule.
 type churnJob struct {
@@ -86,7 +81,7 @@ func churnSchedule(seed uint64, bytes int64) ([]churnJob, error) {
 	return jobs, nil
 }
 
-// churnCell is one (mode, seed) cell's outcome.
+// churnCell is one seed's outcome.
 type churnCell struct {
 	placed, rejected  int
 	flaps             int
@@ -97,9 +92,8 @@ type churnCell struct {
 	placeSec, swapSec float64
 }
 
-// ChurnRow is one mode's aggregate over the seeds.
+// ChurnRow is the sweep's aggregate over the seeds.
 type ChurnRow struct {
-	Mode string
 	// Placed/Rejected count submissions; Flaps the injected link
 	// failures; Optimizes/Swaps the re-optimization passes and the
 	// ones that installed a new generation.
@@ -109,14 +103,11 @@ type ChurnRow struct {
 	Optimizes int
 	Swaps     int
 	// TouchedRoutes sums the installed generations' route deltas
-	// against their predecessors — 0 in full mode, where every swap
-	// repacks the table from scratch.
+	// against their predecessors.
 	TouchedRoutes int
 	// DecisionHash folds every placement (job leaves), rejection, and
 	// optimizer decision (swap verdict, scores as exact float bits,
-	// winning algorithm) across the seeds in order. The sweep errors
-	// out if the modes' hashes diverge, so a returned result is
-	// itself the differential proof.
+	// winning algorithm) across the seeds in order.
 	DecisionHash uint64
 	// SwapNS (time from deciding a pass to serving the new
 	// generation, per swap) and PlaceSeconds (total wall time inside
@@ -132,49 +123,53 @@ func churnFold(h uint64, vs ...uint64) uint64 {
 }
 
 // ChurnSweep runs the churn schedule on the paper's cost-reduced tree
-// XGFT(2;16,16;1,10), one cell per (mode, seed) on the parallel
-// engine. Every cell owns a telemetry-enabled d-mod-k fabric and a
-// telemetry-policy scheduler; after every third arrival the tenant
-// mix is synced into the fabric's counters and a threshold-gated
-// optimizer pass runs — scoring by deltas in incremental mode, from
-// scratch in full mode — while keyed link flaps degrade and heal the
-// topology underneath. Decision hashes must match across modes for
-// every seed or the sweep returns an error. Options.Seeds defaults to
-// 4 here; the sweep is analytic-only.
-func ChurnSweep(opt Options) ([]ChurnRow, error) {
+// XGFT(2;16,16;1,10), one cell per seed on the parallel engine. Every
+// cell owns a telemetry-enabled d-mod-k fabric and a telemetry-policy
+// scheduler; after every third arrival the tenant mix is synced into
+// the fabric's counters and a threshold-gated optimizer pass runs,
+// while keyed link flaps degrade and heal the topology underneath.
+// Options.Seeds defaults to 4 here; the sweep is analytic-only.
+func ChurnSweep(opt Options) (ChurnRow, error) {
+	return churnSweep(opt, nil)
+}
+
+// churnSweep is ChurnSweep with an optional wrapper around every
+// cell's analytic evaluator (fabric and scheduler share it), so tests
+// can replay the same schedule through another backend.
+func churnSweep(opt Options, wrap func(evaluate.Evaluator) evaluate.Evaluator) (ChurnRow, error) {
 	if opt.Seeds <= 0 {
 		opt.Seeds = 4
 	}
 	opt = opt.withDefaults()
 	if opt.Engine != Analytic {
-		return nil, fmt.Errorf("experiments: the churn sweep supports only the analytic engine, not %q", opt.Engine)
+		return ChurnRow{}, fmt.Errorf("experiments: the churn sweep supports only the analytic engine, not %q", opt.Engine)
 	}
 	tp, err := xgft.NewSlimmedTree(16, 16, 10)
 	if err != nil {
-		return nil, err
+		return ChurnRow{}, err
 	}
 	bytes := opt.MessageBytes
 	if bytes <= 0 {
 		bytes = 64 * 1024
 	}
-	seeds := opt.Seeds
-	cells := make([]churnCell, len(churnModes)*seeds)
+	cells := make([]churnCell, opt.Seeds)
 	err = opt.run(len(cells), func(idx int) error {
-		m, s := idx/seeds, idx%seeds
-		full := churnModes[m] == "full"
-		seed := uint64(s) + 1
+		seed := uint64(idx) + 1
 		// Every cell owns its table cache (unlike the other sweeps,
-		// which share the process-wide one): the two modes must pay
-		// identical table-construction work, or memo hits leaking
-		// across cells would skew the wall-clock comparison that is
-		// this sweep's point.
+		// which share the process-wide one): memo hits leaking across
+		// cells would make a cell's wall-clock figures depend on which
+		// cells ran before it.
 		cache := core.NewTableCache(64)
+		var eval evaluate.Evaluator = evaluate.NewAnalytic(cache)
+		if wrap != nil {
+			eval = wrap(eval)
+		}
 		f, err := fabric.New(fabric.Config{
 			Topo:      tp,
 			Algo:      core.NewDModK(tp),
 			Cache:     cache,
 			Telemetry: true,
-			Evaluator: evaluate.NewAnalytic(cache),
+			Evaluator: eval,
 		})
 		if err != nil {
 			return err
@@ -183,7 +178,7 @@ func ChurnSweep(opt Options) ([]ChurnRow, error) {
 		if err != nil {
 			return err
 		}
-		sc, err := sched.New(sched.Config{Fabric: f, Policy: policy, Seed: seed, FullRescore: full})
+		sc, err := sched.New(sched.Config{Fabric: f, Policy: policy, Seed: seed})
 		if err != nil {
 			return err
 		}
@@ -254,15 +249,13 @@ func ChurnSweep(opt Options) ([]ChurnRow, error) {
 				continue
 			}
 			// Re-fit the table to the tenant mix: sync the counters,
-			// then one threshold-gated pass — the delta path in
-			// incremental mode, forced rebuilds in full mode.
+			// then one threshold-gated pass.
 			sc.SyncTelemetry()
 			optStart := time.Now() //lint:allow nondeterminism time-to-new-generation is observational (bracketed output only)
 			res, err := f.Optimize(fabric.OptimizeConfig{
-				Threshold:   churnThreshold,
-				Seed:        seed,
-				Reset:       true,
-				FullRebuild: full,
+				Threshold: churnThreshold,
+				Seed:      seed,
+				Reset:     true,
 			})
 			optNS := time.Since(optStart).Nanoseconds() //lint:allow nondeterminism time-to-new-generation is observational (bracketed output only)
 			if err != nil {
@@ -285,35 +278,21 @@ func ChurnSweep(opt Options) ([]ChurnRow, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return ChurnRow{}, err
 	}
-	rows := make([]ChurnRow, len(churnModes))
-	for m, mode := range churnModes {
-		row := ChurnRow{Mode: mode, DecisionHash: hashutil.Mix(churnSeed)}
-		for s := 0; s < seeds; s++ {
-			c := cells[m*seeds+s]
-			row.Placed += c.placed
-			row.Rejected += c.rejected
-			row.Flaps += c.flaps
-			row.Optimizes += c.optimizes
-			row.Swaps += c.swaps
-			row.TouchedRoutes += c.touched
-			row.DecisionHash = churnFold(row.DecisionHash, c.hash)
-			row.SwapNS = append(row.SwapNS, c.swapNS...)
-			row.PlaceSeconds += c.placeSec
-		}
-		rows[m] = row
+	row := ChurnRow{DecisionHash: hashutil.Mix(churnSeed)}
+	for _, c := range cells {
+		row.Placed += c.placed
+		row.Rejected += c.rejected
+		row.Flaps += c.flaps
+		row.Optimizes += c.optimizes
+		row.Swaps += c.swaps
+		row.TouchedRoutes += c.touched
+		row.DecisionHash = churnFold(row.DecisionHash, c.hash)
+		row.SwapNS = append(row.SwapNS, c.swapNS...)
+		row.PlaceSeconds += c.placeSec
 	}
-	// The differential check: both modes must have made the same
-	// decisions, seed by seed. Hashes fold exact float bits, so this
-	// is bit-identity, not approximate agreement.
-	for s := 0; s < seeds; s++ {
-		inc, ful := cells[s], cells[seeds+s]
-		if inc.hash != ful.hash {
-			return nil, fmt.Errorf("experiments: churn seed %d: incremental and full modes diverged (hash %#x vs %#x)", s+1, inc.hash, ful.hash)
-		}
-	}
-	return rows, nil
+	return row, nil
 }
 
 // boolBit maps a bool to a hashable word.
@@ -340,28 +319,24 @@ func swapPercentileNS(ns []int64, p float64) int64 {
 }
 
 // WriteChurnSweep renders the churn sweep: deterministic decision
-// columns first, then the wall-clock figures in bracketed lines
+// columns first, then the wall-clock figures in a bracketed line
 // (stripped by the CLI determinism check, like every timing line).
-func WriteChurnSweep(w io.Writer, rows []ChurnRow) {
+func WriteChurnSweep(w io.Writer, r ChurnRow) {
 	fmt.Fprintln(w, "Churn convergence — XGFT(2;16,16;1,10), telemetry placement + threshold-gated re-optimization under link flaps")
-	fmt.Fprintf(w, "%-12s %6s %8s %6s %9s %6s %8s  %s\n",
-		"mode", "placed", "rejected", "flaps", "optimizes", "swaps", "touched", "decision-hash")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %6d %8d %6d %9d %6d %8d  %#016x\n",
-			r.Mode, r.Placed, r.Rejected, r.Flaps, r.Optimizes, r.Swaps, r.TouchedRoutes, r.DecisionHash)
+	fmt.Fprintf(w, "%6s %8s %6s %9s %6s %8s  %s\n",
+		"placed", "rejected", "flaps", "optimizes", "swaps", "touched", "decision-hash")
+	fmt.Fprintf(w, "%6d %8d %6d %9d %6d %8d  %#016x\n",
+		r.Placed, r.Rejected, r.Flaps, r.Optimizes, r.Swaps, r.TouchedRoutes, r.DecisionHash)
+	if len(r.SwapNS) == 0 {
+		fmt.Fprintln(w, "[no swaps]")
+		return
 	}
-	for _, r := range rows {
-		if len(r.SwapNS) == 0 {
-			fmt.Fprintf(w, "[%s: no swaps]\n", r.Mode)
-			continue
-		}
-		p50 := float64(swapPercentileNS(r.SwapNS, 0.50)) / 1e6
-		p99 := float64(swapPercentileNS(r.SwapNS, 0.99)) / 1e6
-		rate := 0.0
-		if r.PlaceSeconds > 0 {
-			rate = float64(r.Placed) / r.PlaceSeconds
-		}
-		fmt.Fprintf(w, "[%s: time-to-new-generation p50=%.1fms p99=%.1fms over %d swaps, %.0f placements/s]\n",
-			r.Mode, p50, p99, len(r.SwapNS), rate)
+	p50 := float64(swapPercentileNS(r.SwapNS, 0.50)) / 1e6
+	p99 := float64(swapPercentileNS(r.SwapNS, 0.99)) / 1e6
+	rate := 0.0
+	if r.PlaceSeconds > 0 {
+		rate = float64(r.Placed) / r.PlaceSeconds
 	}
+	fmt.Fprintf(w, "[time-to-new-generation p50=%.1fms p99=%.1fms over %d swaps, %.0f placements/s]\n",
+		p50, p99, len(r.SwapNS), rate)
 }

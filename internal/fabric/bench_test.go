@@ -187,29 +187,8 @@ func BenchmarkResolveBatchTelemetry(b *testing.B) {
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "routes/s")
 }
 
-// BenchmarkOptimize measures one full re-optimization pass (snapshot,
-// four candidate scores, swap decision) over all-pairs traffic.
-func BenchmarkOptimize(b *testing.B) {
-	f := benchFabricTelemetry(b, true)
-	n := f.Topology().Leaves()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s != d {
-				f.Resolve(s, d)
-			}
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.Optimize(OptimizeConfig{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // optimizeBenchFabric is the acceptance topology XGFT(2;16,16;1,10)
-// with all-pairs traffic observed — the Optimize path the incremental
-// scoring claim is benchmarked on.
+// with all-pairs traffic observed.
 func optimizeBenchFabric(b *testing.B) *Fabric {
 	b.Helper()
 	tp := xgft.MustNew(2, []int{16, 16}, []int{1, 10})
@@ -234,30 +213,14 @@ func optimizeBenchFabric(b *testing.B) *Fabric {
 	return f
 }
 
-// BenchmarkOptimizeIncremental measures a steady-state delta-path
-// re-optimization pass on XGFT(2;16,16;1,10): candidates score as
-// route-deltas against the serving generation's LoadState.
-func BenchmarkOptimizeIncremental(b *testing.B) {
+// BenchmarkOptimize measures a steady-state re-optimization pass on
+// XGFT(2;16,16;1,10): the serving generation and every candidate
+// resolve and score the observed pattern, and nothing swaps.
+func BenchmarkOptimize(b *testing.B) {
 	f := optimizeBenchFabric(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := f.Optimize(OptimizeConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Incremental {
-			b.Fatal("pass did not take the delta path")
-		}
-	}
-}
-
-// BenchmarkOptimizeFullRebuild is the same pass forced onto the
-// from-scratch path — the denominator of the incremental speedup.
-func BenchmarkOptimizeFullRebuild(b *testing.B) {
-	f := optimizeBenchFabric(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.Optimize(OptimizeConfig{FullRebuild: true}); err != nil {
+		if _, err := f.Optimize(OptimizeConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -87,7 +87,6 @@ type Fabric struct {
 	tel   *Telemetry       // nil when telemetry is disabled
 
 	m        *fabricMetrics      // nil when metrics are disabled
-	reg      *obs.Registry       // nil when metrics are disabled (LoadState instruments)
 	journal  *obs.Journal        // nil when event recording is disabled
 	tracer   *trace.Tracer       // nil when span recording is disabled
 	flips    *trace.FlipDetector // optimize-outcome flip-flop watch
@@ -108,8 +107,6 @@ type fabricMetrics struct {
 	packedNS   *obs.Histogram // ResolveBatchPacked call latency
 	generation *obs.Gauge     // serving generation sequence
 	swaps      *obs.Counter   // generation hot-swaps installed
-	// candIncremental counts optimizer candidates scored by delta.
-	candIncremental *obs.Counter
 }
 
 // Metric and journal-event names. Constants — not literals at the
@@ -124,16 +121,10 @@ const (
 	metricGeneration   = "fabric_generation"
 	metricSwaps        = "fabric_generation_swaps_total"
 	metricRoutesServed = "fabric_routes_served"
-	// metricCandIncremental counts optimizer candidates scored on the
-	// LoadState delta path rather than by a full evaluator pass.
-	metricCandIncremental = "optimize_candidates_incremental"
 
 	eventGenerationSwap = "generation.swap"
 	eventOptimize       = "optimize"
 	eventOptimizeError  = "optimize.error"
-	// eventOptimizeIncremental records a delta-path pass's
-	// touched-route counts alongside the decision event.
-	eventOptimizeIncremental = "optimize.incremental"
 )
 
 // Span names the fabric records (constants for repolint's obskeys
@@ -157,12 +148,6 @@ func SpanNames() []string {
 	return []string{spanBatchPacked, spanOptimize, spanCandidate}
 }
 
-// IncrementalObsNames lists the metric and journal-event names the
-// delta-path optimizer records, for the documentation drift test.
-func IncrementalObsNames() []string {
-	return []string{metricCandIncremental, eventOptimizeIncremental}
-}
-
 func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 	return &fabricMetrics{
 		resolves:   reg.Counter(metricResolves, "routes served by Resolve and the batch paths", 8),
@@ -172,8 +157,6 @@ func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 		packedNS:   reg.Histogram(metricPackedNS, "ResolveBatchPacked whole-batch latency"),
 		generation: reg.Gauge(metricGeneration, "serving generation sequence number"),
 		swaps:      reg.Counter(metricSwaps, "generation hot-swaps installed after the initial build", 1),
-		candIncremental: reg.Counter(metricCandIncremental,
-			"optimizer candidates scored incrementally against the serving LoadState", 1),
 	}
 }
 
@@ -214,7 +197,6 @@ func New(cfg Config) (*Fabric, error) {
 	}
 	if cfg.Metrics != nil {
 		f.m = newFabricMetrics(cfg.Metrics)
-		f.reg = cfg.Metrics
 		// Sampled at scrape time: resolves served by the generation
 		// currently installed (reset on every swap).
 		cfg.Metrics.GaugeFunc(metricRoutesServed, "resolves served by the current generation",

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/contention"
 	"repro/internal/core"
-	"repro/internal/evaluate"
 	"repro/internal/pattern"
 	"repro/internal/trace"
 	"repro/internal/xgft"
@@ -22,21 +21,13 @@ import (
 // way robust-clustering estimators re-fit as the observed data
 // distribution shifts.
 //
-// Scoring converges by deltas, not rebuilds: under the analytic
-// evaluator the pass materializes the observed pattern's per-link
-// loads once (evaluate.LoadState, seeded with the serving routes) and
-// scores each candidate by applying only its route differences and
-// reverting — O(touched links) per candidate instead of a full
-// contention census. Candidates whose delta crosses the cutover (a
-// structurally different table, not churn-scale drift) score with one
-// flat pass instead, so the delta discipline never costs more than
-// the rebuild it replaces. The winning table installs through the same
-// delta discipline FailLink uses: rows that no candidate route
-// changed are shared with the serving generation, only touched rows
-// repack. Both fall back to the from-scratch path — a non-analytic
-// evaluator (whose score is not a pure per-link load function), a
-// candidate whose resolvable pair set diverges from the serving
-// generation's, or an explicit OptimizeConfig.FullRebuild.
+// Every scored table — the serving generation and each candidate —
+// goes through one path: resolve the observed flows through the
+// table's route function (candidates patched through the current
+// fault view), then score them with one evaluator pass. The winning
+// table installs through the same copy-on-write discipline FailLink
+// uses: rows whose packed routes are unchanged are shared with the
+// serving generation, only touched rows repack.
 
 // OptimizeConfig parameterizes one re-optimization pass.
 type OptimizeConfig struct {
@@ -54,14 +45,6 @@ type OptimizeConfig struct {
 	// Reset zeroes the telemetry counters after the snapshot, making
 	// each pass observe only the traffic since the previous one.
 	Reset bool
-	// FullRebuild forces the from-scratch path: every candidate is
-	// scored with a full evaluator pass and the winning table is
-	// repacked row by row instead of patched by delta. Scores and swap
-	// decisions are bit-identical either way (the churn sweep's
-	// cross-mode check enforces it); the flag exists for that
-	// comparison and as the escape hatch the architecture docs
-	// describe.
-	FullRebuild bool
 }
 
 func (c OptimizeConfig) withDefaults() OptimizeConfig {
@@ -79,14 +62,7 @@ func (c OptimizeConfig) withDefaults() OptimizeConfig {
 type CandidateScore struct {
 	Algo     string
 	Slowdown float64
-	// Touched counts the observed routes the candidate would change
-	// relative to the serving generation. It is 0 when the difference
-	// was never computed (a from-scratch pass, or a candidate whose
-	// resolvable pair set diverged from the base); a candidate scored
-	// from scratch because its delta crossed the cutover still reports
-	// the measured delta.
-	Touched int
-	// Incremental reports whether the score came from the delta path.
+	// Deprecated: always false; Optimize has one scoring path.
 	Incremental bool
 }
 
@@ -105,14 +81,10 @@ type OptimizeResult struct {
 	// Best names the best-scoring candidate; BestSlowdown its score.
 	Best         string
 	BestSlowdown float64
-	// Incremental reports whether candidate scoring ran on the delta
-	// path; LinksTouched is the total per-link load updates it
-	// performed (0 when from scratch).
-	Incremental  bool
+	// Deprecated: always 0; Optimize has one scoring path.
 	LinksTouched uint64
 	// SwapTouched counts the packed routes the installed generation
-	// changed relative to its predecessor (0 when no swap happened or
-	// the swap was a full rebuild).
+	// changed relative to its predecessor (0 when no swap happened).
 	SwapTouched int
 	// Swapped reports whether a new generation was installed; Stats
 	// describes the generation serving after the pass either way.
@@ -192,35 +164,15 @@ func (f *Fabric) Optimize(cfg OptimizeConfig) (res OptimizeResult, err error) {
 	}
 	view := cur.view
 
-	// Materialize the serving generation's base: the observed pattern
-	// filtered to resolvable pairs, with the routes the fabric serves
-	// today. Pairs whose minimal paths are all severed are dropped
-	// from the scored pattern; every candidate is patched through the
-	// same view with the same reroute search, so the surviving flow
-	// set — and with it the comparison — is identical across
-	// candidates (the delta scorer verifies per candidate and falls
-	// back to from-scratch scoring if it ever were not).
-	base := f.baseState(obs, cur)
-	incremental := !cfg.FullRebuild && f.eval.Name() == evaluate.Analytic
-	var ls *evaluate.LoadState
-	if incremental {
-		ls, err = evaluate.NewLoadState(f.topo, base.q, base.routes)
-		if err != nil {
-			return res, err
-		}
-		if f.reg != nil {
-			ls.Instrument(f.reg)
-		}
-		res.Incremental = true
-		res.Current = ls.Slowdown()
-	} else {
-		r, serr := f.eval.ScoreRoutes(f.topo, base.q, base.routes)
-		if serr != nil {
-			return res, serr
-		}
-		res.Current = r.Slowdown
+	// Pairs whose minimal paths are all severed drop out of the scored
+	// pattern; every candidate is patched through the same view with
+	// the same reroute search as the serving generation, so the
+	// surviving flow set — and with it the comparison — is identical
+	// across candidates.
+	if res.Current, err = f.score(obs, cur.Resolve); err != nil {
+		return res, err
 	}
-
+	n := f.topo.Leaves()
 	var bestTbl *core.Table
 	for _, cand := range f.candidates(obs, cfg.Seed) {
 		cs := f.tracer.StartChild(sp.Context(), spanCandidate)
@@ -229,25 +181,20 @@ func (f *Fabric) Optimize(cfg OptimizeConfig) (res OptimizeResult, err error) {
 			cs.End()
 			return res, fmt.Errorf("fabric: candidate %s: %w", cand.Name(), err)
 		}
-		score, err := f.scoreCandidate(obs, base, ls, view, tbl)
+		slowdown, err := f.score(obs, func(s, d int) (xgft.Route, bool) {
+			return core.RerouteAvoiding(view, tbl.Routes[allPairsIndex(n, s, d)])
+		})
 		if err != nil {
 			cs.End()
 			return res, fmt.Errorf("fabric: candidate %s: %w", cand.Name(), err)
 		}
-		score.Algo = cand.Name()
-		if score.Incremental && f.m != nil {
-			f.m.candIncremental.Inc()
-		}
-		cs.SetAttr(attrSlowdownPPM, int64(score.Slowdown*1e6))
+		cs.SetAttr(attrSlowdownPPM, int64(slowdown*1e6))
 		cs.End()
-		res.Candidates = append(res.Candidates, score)
-		if bestTbl == nil || score.Slowdown < res.BestSlowdown {
+		res.Candidates = append(res.Candidates, CandidateScore{Algo: cand.Name(), Slowdown: slowdown})
+		if bestTbl == nil || slowdown < res.BestSlowdown {
 			bestTbl = tbl
-			res.Best, res.BestSlowdown = cand.Name(), score.Slowdown
+			res.Best, res.BestSlowdown = cand.Name(), slowdown
 		}
-	}
-	if ls != nil {
-		res.LinksTouched = ls.LinksTouched()
 	}
 	// Swap only on strict improvement beyond the threshold. Identical
 	// tables score bit-identically, so a generation already serving
@@ -255,147 +202,41 @@ func (f *Fabric) Optimize(cfg OptimizeConfig) (res OptimizeResult, err error) {
 	if bestTbl == nil || res.Current-res.BestSlowdown <= cfg.Threshold*res.Current {
 		return res, nil
 	}
-	var gen *Generation
-	if cfg.FullRebuild {
-		gen, err = f.genFromTable(bestTbl, view, cur.stats.Seq+1, res.Best)
-	} else {
-		gen, res.SwapTouched, err = f.genFromTableDelta(bestTbl, view, cur, res.Best)
-	}
+	gen, touched, err := f.genFromTable(bestTbl, view, cur, res.Best)
 	if err != nil {
 		return res, err
 	}
 	f.publish(gen, "optimize")
 	res.Swapped = true
+	res.SwapTouched = touched
 	res.Stats = gen.stats
 	return res, nil
 }
 
-// optimizeBase is the serving generation's view of the observed
-// pattern: the resolvable flows (q, routes aligned) plus, for each
-// raw observed flow, its index into q (-1 when the pair is severed) —
-// what the delta scorer diffs candidates against.
-type optimizeBase struct {
-	q      *pattern.Pattern
-	routes []xgft.Route
-	qIdx   []int
-}
-
-// baseState resolves every observed flow through the serving
-// generation, mirroring the historical scoring filter exactly.
-func (f *Fabric) baseState(obs *pattern.Pattern, cur *Generation) *optimizeBase {
-	base := &optimizeBase{
-		q:    pattern.New(obs.N),
-		qIdx: make([]int, len(obs.Flows)),
-	}
-	for i, fl := range obs.Flows {
-		r, ok := cur.Resolve(fl.Src, fl.Dst)
+// score resolves the observed flows through route and scores them
+// with the fabric's evaluator, dropping pairs with no route from both
+// the pattern and the normalization.
+func (f *Fabric) score(obs *pattern.Pattern, route func(s, d int) (xgft.Route, bool)) (float64, error) {
+	q := pattern.New(obs.N)
+	routes := make([]xgft.Route, 0, len(obs.Flows))
+	for _, fl := range obs.Flows {
+		r, ok := route(fl.Src, fl.Dst)
 		if !ok {
-			base.qIdx[i] = -1
 			continue
 		}
-		base.qIdx[i] = len(base.q.Flows)
-		base.q.Add(fl.Src, fl.Dst, fl.Bytes)
-		base.routes = append(base.routes, r)
+		q.Add(fl.Src, fl.Dst, fl.Bytes)
+		routes = append(routes, r)
 	}
-	return base
-}
-
-// deltaScoreCutover sets where delta scoring stops paying: a
-// candidate that changes more than 1/deltaScoreCutover of the
-// observed routes is scored from scratch. Applying and reverting a
-// near-total delta walks every link twice, which costs more than one
-// flat census — the delta path is reserved for the steady-churn
-// regime it wins in, where candidates drift from the serving table a
-// few routes at a time.
-const deltaScoreCutover = 4
-
-// scoreCandidate scores one candidate table on the observed pattern.
-// With a LoadState it computes the candidate's route differences
-// against the base; a small delta is applied, read, and reverted —
-// O(touched links) — while a delta past the cutover scores with one
-// evaluator pass over the routes the diff already resolved. Without a
-// LoadState (non-analytic evaluator, full rebuild) or for a candidate
-// whose resolvable pair set diverges from the base, it scores from
-// scratch, reproducing the historical path. Every path produces
-// bit-identical scores: the loads are exact integer sums either way.
-func (f *Fabric) scoreCandidate(obs *pattern.Pattern, base *optimizeBase, ls *evaluate.LoadState, view *xgft.View, tbl *core.Table) (CandidateScore, error) {
-	n := f.topo.Leaves()
-	if ls != nil {
-		var flows []pattern.Flow
-		var oldR, newR []xgft.Route
-		candR := make([]xgft.Route, 0, len(base.routes))
-		diverged := false
-		for i, fl := range obs.Flows {
-			r, ok := core.RerouteAvoiding(view, tbl.Routes[allPairsIndex(n, fl.Src, fl.Dst)])
-			if ok != (base.qIdx[i] >= 0) {
-				// The candidate resolves a different pair set than the
-				// serving generation — the base loads are not a valid
-				// starting point, so score this candidate from scratch.
-				diverged = true
-				break
-			}
-			if !ok {
-				continue
-			}
-			candR = append(candR, r)
-			qi := base.qIdx[i]
-			if routeEqual(base.routes[qi], r) {
-				continue
-			}
-			flows = append(flows, base.q.Flows[qi])
-			oldR = append(oldR, base.routes[qi])
-			newR = append(newR, r)
-		}
-		switch {
-		case diverged:
-			// Fall through to the historical route-function path below.
-		case len(flows)*deltaScoreCutover > len(base.q.Flows):
-			// The diff already resolved every candidate route, so the
-			// from-scratch score is one evaluator pass over it.
-			r, err := f.eval.ScoreRoutes(f.topo, base.q, candR)
-			if err != nil {
-				return CandidateScore{}, err
-			}
-			return CandidateScore{Slowdown: r.Slowdown, Touched: len(flows)}, nil
-		default:
-			if err := ls.ApplyRouteDelta(flows, oldR, newR); err != nil {
-				return CandidateScore{}, err
-			}
-			score := ls.Slowdown()
-			if err := ls.ApplyRouteDelta(flows, newR, oldR); err != nil {
-				return CandidateScore{}, err
-			}
-			return CandidateScore{Slowdown: score, Touched: len(flows), Incremental: true}, nil
-		}
-	}
-	score, err := f.scoreRoutes(obs, func(s, d int) (xgft.Route, bool) {
-		return core.RerouteAvoiding(view, tbl.Routes[allPairsIndex(n, s, d)])
-	})
+	res, err := f.eval.ScoreRoutes(f.topo, q, routes)
 	if err != nil {
-		return CandidateScore{}, err
+		return 0, err
 	}
-	return CandidateScore{Slowdown: score}, nil
-}
-
-// routeEqual reports whether two routes between the same endpoints
-// are the same path (equal ascents; the descent is destination-
-// determined).
-func routeEqual(a, b xgft.Route) bool {
-	if len(a.Up) != len(b.Up) {
-		return false
-	}
-	for i := range a.Up {
-		if a.Up[i] != b.Up[i] {
-			return false
-		}
-	}
-	return true
+	return res.Slowdown, nil
 }
 
 // journalOptimize records one pass's decision event ("optimize", or
 // "optimize.error" for aborted passes) with per-candidate scores and
-// the threshold verdict, plus an "optimize.incremental" event for
-// delta-path passes with their touched-route counts.
+// the threshold verdict.
 func (f *Fabric) journalOptimize(res OptimizeResult, err error, threshold float64, dur time.Duration) {
 	if f.journal == nil {
 		return
@@ -407,20 +248,6 @@ func (f *Fabric) journalOptimize(res OptimizeResult, err error, threshold float6
 	cands := make([]map[string]any, len(res.Candidates))
 	for i, c := range res.Candidates {
 		cands[i] = map[string]any{"algo": c.Algo, "slowdown": c.Slowdown}
-	}
-	// The incremental detail event lands first so the decision event
-	// stays the pass's last word and a journal tail still reads
-	// swap-then-why.
-	if res.Incremental {
-		touched := make([]map[string]any, 0, len(res.Candidates))
-		for _, c := range res.Candidates {
-			touched = append(touched, map[string]any{"algo": c.Algo, "touched_routes": c.Touched, "incremental": c.Incremental})
-		}
-		f.journal.Record(eventOptimizeIncremental, dur, map[string]any{
-			"pairs": res.Pairs, "candidates": touched,
-			"links_touched": res.LinksTouched,
-			"swap_touched":  res.SwapTouched, "swapped": res.Swapped,
-		})
 	}
 	f.journal.Record(eventOptimize, dur, map[string]any{
 		"pairs": res.Pairs, "resolves": res.Resolves,
@@ -448,81 +275,16 @@ func (f *Fabric) candidates(obs *pattern.Pattern, seed uint64) []core.Algorithm 
 	}
 }
 
-// scoreRoutes scores the observed pattern under the per-pair route
-// function with the fabric's evaluator, dropping unreachable pairs
-// from both the pattern and the normalization.
-func (f *Fabric) scoreRoutes(obs *pattern.Pattern, route func(s, d int) (xgft.Route, bool)) (float64, error) {
-	q := pattern.New(obs.N)
-	routes := make([]xgft.Route, 0, len(obs.Flows))
-	for _, fl := range obs.Flows {
-		r, ok := route(fl.Src, fl.Dst)
-		if !ok {
-			continue
-		}
-		q.Add(fl.Src, fl.Dst, fl.Bytes)
-		routes = append(routes, r)
-	}
-	res, err := f.eval.ScoreRoutes(f.topo, q, routes)
-	if err != nil {
-		return 0, err
-	}
-	return res.Slowdown, nil
-}
-
-// genFromTable packs a healthy all-pairs table into a generation
-// under the given fault view: core.PatchTable (the same repair path
-// FailLink uses) reroutes the routes riding failed wires and marks
-// pairs with no surviving minimal path, which pack to the unreachable
-// sentinel. The result must pass VerifyDeadlockFree or installation
-// is refused.
-func (f *Fabric) genFromTable(tbl *core.Table, view *xgft.View, seq uint64, algoName string) (*Generation, error) {
-	start := time.Now() //lint:allow nondeterminism candidate build time is observational (journal/metrics only)
-	patched, st, err := core.PatchTable(tbl, view)
-	if err != nil {
-		return nil, err
-	}
-	n := f.topo.Leaves()
-	shards := make([][]uint64, n)
-	for s := range shards {
-		shards[s] = make([]uint64, n)
-	}
-	for i, fl := range f.pairs.Flows {
-		r := patched.Routes[i]
-		if r.Up == nil {
-			shards[fl.Src][fl.Dst] = PackedUnreachable
-			continue
-		}
-		shards[fl.Src][fl.Dst] = packRoute(r)
-	}
-	gen := &Generation{
-		topo:   f.topo,
-		view:   view,
-		shards: shards,
-		stats: Stats{
-			Seq:            seq,
-			Algo:           algoName,
-			Routes:         len(f.pairs.Flows) - st.Unreachable,
-			Patched:        st.Rerouted,
-			Unreachable:    st.Unreachable,
-			FailedWires:    view.FailedWires(),
-			FailedSwitches: len(view.FailedSwitches()),
-		},
-	}
-	if err := contention.VerifyDeadlockFree(f.topo, gen.Routes()); err != nil {
-		return nil, fmt.Errorf("fabric: candidate table rejected: %w", err)
-	}
-	gen.stats.BuildTime = time.Since(start) //lint:allow nondeterminism candidate build time is observational (journal/metrics only)
-	return gen, nil
-}
-
-// genFromTableDelta packs the winning table against the serving
+// genFromTable packs the winning table against the serving
 // generation the way FailLink's patch does: rows whose packed routes
 // are unchanged are shared with cur, and a row is cloned
 // copy-on-write the first time one of its routes differs. The route
 // set still flows through core.PatchTable (the same repair machinery)
 // and the full VerifyDeadlockFree gate; only the packing is
-// differential. Returns the number of packed routes that changed.
-func (f *Fabric) genFromTableDelta(tbl *core.Table, view *xgft.View, cur *Generation, algoName string) (*Generation, int, error) {
+// differential. Pairs with no surviving minimal path pack to the
+// unreachable sentinel, and a table failing VerifyDeadlockFree is
+// refused. Returns the number of packed routes that changed.
+func (f *Fabric) genFromTable(tbl *core.Table, view *xgft.View, cur *Generation, algoName string) (*Generation, int, error) {
 	start := time.Now() //lint:allow nondeterminism candidate build time is observational (journal/metrics only)
 	patched, st, err := core.PatchTable(tbl, view)
 	if err != nil {

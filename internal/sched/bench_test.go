@@ -29,7 +29,11 @@ func benchScheduler(b *testing.B, fullRescore bool) *sched.Scheduler {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := sched.New(sched.Config{Fabric: f, Policy: p, FullRescore: fullRescore})
+	cfg := sched.Config{Fabric: f, Policy: p}
+	if fullRescore {
+		cfg.Evaluator = opaque{f.Evaluator()}
+	}
+	s, err := sched.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,9 +76,10 @@ func BenchmarkPlaceIncremental(b *testing.B) {
 	benchPlace(b, benchScheduler(b, false))
 }
 
-// BenchmarkPlaceFullRescore is the same placement forced onto the
-// from-scratch path: every candidate re-embeds the job into the
-// background and pays a full census.
+// BenchmarkPlaceFullRescore is the same placement on the from-scratch
+// path (the analytic evaluator behind the opaque wrapper): every
+// candidate re-embeds the job into the background and pays a full
+// census.
 func BenchmarkPlaceFullRescore(b *testing.B) {
 	benchPlace(b, benchScheduler(b, true))
 }

@@ -6,16 +6,25 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/evaluate"
 	"repro/internal/hashutil"
 	"repro/internal/sched"
 )
+
+// opaque hides an evaluator's backend name, so the telemetry policy
+// cannot treat it as analytic and scores every candidate from
+// scratch — the reference the delta path is checked against.
+type opaque struct{ evaluate.Evaluator }
+
+func (opaque) Name() string { return "opaque" }
 
 // TestPlaceIncrementalMatchesFullRescore is the scheduler-side
 // differential contract: the telemetry policy's delta path (job flows
 // applied to a shared background LoadState and reverted) must place
 // every job on exactly the leaves the from-scratch path chooses,
 // through a churny submit/release sequence that grows, fragments, and
-// re-fills the pool.
+// re-fills the pool. The from-scratch path is reached by hiding the
+// analytic evaluator behind the opaque wrapper.
 func TestPlaceIncrementalMatchesFullRescore(t *testing.T) {
 	run := func(full bool) [][]int {
 		f := testFabric(t, 4, false)
@@ -23,7 +32,11 @@ func TestPlaceIncrementalMatchesFullRescore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := sched.New(sched.Config{Fabric: f, Policy: p, FullRescore: full})
+		cfg := sched.Config{Fabric: f, Policy: p}
+		if full {
+			cfg.Evaluator = opaque{f.Evaluator()}
+		}
+		s, err := sched.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

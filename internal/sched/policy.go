@@ -45,13 +45,6 @@ type Request struct {
 	// hand-built request may leave it nil, which scores with the
 	// analytic default.
 	Evaluator evaluate.Evaluator
-	// FullRescore forces the telemetry policy onto its from-scratch
-	// path: every candidate re-embeds the job into the background and
-	// is scored by a full evaluator pass, instead of applying the
-	// job as a pattern-delta to a shared background LoadState.
-	// Scores and placements are bit-identical either way; the flag
-	// exists for that comparison (the churn sweep's full mode).
-	FullRescore bool
 	// Metrics, when set, attaches the evaluate_* delta instruments to
 	// the background LoadState the telemetry policy scores against.
 	Metrics *obs.Registry
@@ -178,9 +171,10 @@ const telemetryCandidates = 4
 // into an evaluate.LoadState and each candidate is scored by applying
 // its remapped job flows as a pattern-delta and reverting —
 // O(job flows) per candidate instead of re-resolving and re-scoring
-// the whole background. Request.FullRescore (or a non-analytic
-// evaluator) selects the from-scratch path; both produce bit-identical
-// scores and therefore identical placements.
+// the whole background. A non-analytic evaluator, whose score is not
+// a pure per-link load function, selects the from-scratch path. Under
+// an analytic backend both paths produce bit-identical scores and
+// therefore identical placements.
 func Telemetry() Policy { return telemetryPolicy{} }
 
 type telemetryPolicy struct{}
@@ -226,13 +220,10 @@ func (telemetryPolicy) Place(req *Request) ([]int, error) {
 
 // backgroundLoadState materializes the background traffic's per-link
 // loads under the installed routes, shared across every candidate of
-// one placement. nil selects the from-scratch path: an explicit
-// FullRescore, or an evaluator whose score is not a pure per-link
-// load function (anything non-analytic).
+// one placement. nil selects the from-scratch path, for an evaluator
+// whose score is not a pure per-link load function (anything
+// non-analytic).
 func backgroundLoadState(req *Request) *evaluate.LoadState {
-	if req.FullRescore {
-		return nil
-	}
 	if req.Evaluator != nil && req.Evaluator.Name() != evaluate.Analytic {
 		return nil
 	}

@@ -17,8 +17,8 @@ import (
 
 // Span names the server records, as constants for repolint's obskeys
 // pass. wire.request covers one frame from decode through response
-// write; decode/resolve/encode are its stage children, recorded only
-// for sampled traces.
+// encode (it ends before the response is flushed); decode/resolve/
+// encode are its stage children, recorded only for sampled traces.
 const (
 	spanRequest = "wire.request"
 	spanDecode  = "wire.decode"
@@ -460,11 +460,12 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 			tm.TotalNS = time.Since(start).Nanoseconds()
 			PatchTiming(wbuf, tm)
 		}
-		werr := write(wbuf)
+		// The span ends before the flush: a client holding the
+		// response must already find it in the recorder.
 		req.SetAttr(attrPairs, int64(len(pairs)))
 		req.SetAttr(attrGen, int64(gen))
 		req.End()
-		if werr != nil {
+		if err := write(wbuf); err != nil {
 			return
 		}
 		st.frames.Add(1)

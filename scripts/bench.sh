@@ -9,8 +9,8 @@
 # The gate/baseline modes turn the trajectory into a regression gate:
 # `baseline` runs the hot-path benchmarks (ResolveBatch and the packed
 # variant, wire encode/decode and end-to-end, evaluator cache, the
-# incremental-evaluation paths: LoadState route deltas, incremental vs
-# full Optimize, incremental vs full-rescore placement) with
+# incremental-evaluation paths: LoadState route deltas, one Optimize
+# pass, incremental vs full-rescore placement) with
 # -count=5 and commits the min-of-runs ns/op per benchmark to
 # scripts/bench_baseline.json; `gate` repeats the run and fails (via
 # cmd/benchgate) when any gated benchmark regressed more than 10%
@@ -29,7 +29,7 @@ cd "$(dirname "$0")/.."
 # (internal/benchcal) that benchgate divides out. Anchored so e.g.
 # ResolveBatch does not also pull in every sized variant that may
 # appear later.
-gate_bench='^(BenchmarkResolveBatch|BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimizeIncremental|BenchmarkOptimizeFullRebuild|BenchmarkPlaceIncremental|BenchmarkPlaceFullRescore|BenchmarkCalibration)$'
+gate_bench='^(BenchmarkResolveBatch|BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkPlaceIncremental|BenchmarkPlaceFullRescore|BenchmarkCalibration)$'
 gate_pkgs='./internal/fabric ./internal/wire ./internal/evaluate ./internal/sched'
 
 run_gated() {
