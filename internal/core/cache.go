@@ -84,9 +84,9 @@ func NewTableCache(capacity int) *TableCache {
 }
 
 // MemoAlgorithm memoizes an expensive deterministic algorithm
-// construction (the Colored optimizer spends milliseconds per
-// topology) under the caller's key, which must encode every
-// construction input. The returned instance may be shared across
+// construction (a Colored build costs time in proportion to its
+// phases' distinct pairs) under the caller's key, which must encode
+// every construction input. The returned instance may be shared across
 // goroutines, so build must produce an algorithm whose Route is safe
 // for concurrent use. Pass-through and nil caches always rebuild.
 func (c *TableCache) MemoAlgorithm(key string, build func() Algorithm) Algorithm {

@@ -436,13 +436,12 @@ func TestColoredBeatsDModKOnCGPhase5(t *testing.T) {
 		if f.Src == f.Dst {
 			continue
 		}
-		st.apply(f, dmodk.Route(f.Src, f.Dst).Up, 1)
+		e := st.locate(f.Src, f.Dst)
+		st.apply(&e, dmodk.Route(f.Src, f.Dst).Up, 1)
 	}
 	dmax := 0
 	for _, g := range st.upGroups {
-		if g > dmax {
-			dmax = g
-		}
+		dmax = max(dmax, int(g))
 	}
 	if dmax < 7 {
 		t.Fatalf("expected D-mod-k pathology (>=7 groups per channel), got %d", dmax)

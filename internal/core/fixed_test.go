@@ -186,7 +186,8 @@ func TestAutoModKReducesContentionOnScatterGather(t *testing.T) {
 	chosen := AutoModK(tp, scatter)
 	st := newPhaseState(tp)
 	for _, f := range scatter.Flows {
-		st.apply(f, chosen.Route(f.Src, f.Dst).Up, 1)
+		e := st.locate(f.Src, f.Dst)
+		st.apply(&e, chosen.Route(f.Src, f.Dst).Up, 1)
 	}
 	for _, g := range st.upGroups {
 		if g > 1 {

@@ -132,23 +132,5 @@ func (lw *LevelWise) schedulePhase(ph *pattern.Pattern) error {
 // of the scheduled routes for a phase (1 = conflict-free), mirroring
 // Colored.MaxGroups for comparisons.
 func (lw *LevelWise) MaxGroups(ph *pattern.Pattern) int {
-	st := newPhaseState(lw.topo)
-	for _, f := range ph.Flows {
-		if f.Src == f.Dst {
-			continue
-		}
-		st.apply(f, lw.Route(f.Src, f.Dst).Up, 1)
-	}
-	max := 0
-	for _, g := range st.upGroups {
-		if g > max {
-			max = g
-		}
-	}
-	for _, g := range st.downGroups {
-		if g > max {
-			max = g
-		}
-	}
-	return max
+	return maxGroups(lw.topo, ph, lw)
 }

@@ -106,9 +106,11 @@ func phasedSlowdown(tp *xgft.Topology, algo core.Algorithm, ranks int, phases []
 
 // coloredFor returns the pattern-aware baseline for a sweep cell,
 // memoized through the options' cache: the optimizer is deterministic
-// in (topology, phases) and costs milliseconds, so Figure2 and
-// Figure5 share one instance per sweep topology. Colored's Route is
-// read-only after construction, hence safe to share across workers.
+// in (topology, phases) and its cost grows with the distinct pairs of
+// the phases (~130 ms for all 65,280 pairs of XGFT(2;16,16;1,10) on a
+// 2-vCPU VM, see core.BenchmarkNewColored), so Figure2 and Figure5
+// share one instance per sweep topology. Colored's Route is read-only
+// after construction, hence safe to share across workers.
 func coloredFor(tp *xgft.Topology, phases []*pattern.Pattern, opt Options) core.Algorithm {
 	key := "colored|" + tp.String()
 	for _, ph := range phases {

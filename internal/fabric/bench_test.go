@@ -226,6 +226,34 @@ func BenchmarkOptimize(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeFresh measures a pass over fresh traffic, the
+// dense-epoch regime of a live fabric: before every pass (timer
+// stopped) each ordered pair of XGFT(2;16,16;1,10) is observed with a
+// keyed count, so the Colored memo misses and the pass pays the
+// Colored build that BenchmarkOptimize's replayed pattern never does.
+func BenchmarkOptimizeFresh(b *testing.B) {
+	f := optimizeBenchFabric(b)
+	tel := f.Telemetry()
+	tel.Reset()
+	n := f.Topology().Leaves()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := hashutil.NewStream(uint64(i))
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				if src != dst {
+					tel.RecordN(src, dst, uint64(1+s.Intn(32)))
+				}
+			}
+		}
+		b.StartTimer()
+		if _, err := f.Optimize(OptimizeConfig{Reset: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFailLinkSwap measures a full degrade cycle: incremental
 // patch, deadlock verification, and generation swap.
 func BenchmarkFailLinkSwap(b *testing.B) {

@@ -133,6 +133,7 @@ const (
 	spanBatchPacked = "fabric.resolve_batch_packed"
 	spanOptimize    = "fabric.optimize"
 	spanCandidate   = "fabric.optimize.candidate"
+	spanColored     = "fabric.optimize.colored"
 
 	attrPairs       = "pairs"
 	attrResolved    = "resolved"
@@ -145,7 +146,7 @@ const (
 // SpanNames lists every span name this package records, for the
 // documentation drift test.
 func SpanNames() []string {
-	return []string{spanBatchPacked, spanOptimize, spanCandidate}
+	return []string{spanBatchPacked, spanOptimize, spanCandidate, spanColored}
 }
 
 func newFabricMetrics(reg *obs.Registry) *fabricMetrics {

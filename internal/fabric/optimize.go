@@ -174,7 +174,7 @@ func (f *Fabric) Optimize(cfg OptimizeConfig) (res OptimizeResult, err error) {
 	}
 	n := f.topo.Leaves()
 	var bestTbl *core.Table
-	for _, cand := range f.candidates(obs, cfg.Seed) {
+	for _, cand := range f.candidates(sp.Context(), obs, cfg.Seed) {
 		cs := f.tracer.StartChild(sp.Context(), spanCandidate)
 		tbl, err := f.cache.Build(f.topo, cand, f.pairs)
 		if err != nil {
@@ -261,8 +261,9 @@ func (f *Fabric) journalOptimize(res OptimizeResult, err error, threshold float6
 // candidates enumerates the candidate schemes for an observed
 // pattern, in scoring order. The Colored optimizer is memoized
 // through the table cache (keyed by topology, pattern content and
-// seed), so repeated passes over a stable pattern reuse it.
-func (f *Fabric) candidates(obs *pattern.Pattern, seed uint64) []core.Algorithm {
+// seed), so repeated passes over an unchanged pattern reuse it; a
+// miss builds it under a fabric.optimize.colored child of parent.
+func (f *Fabric) candidates(parent trace.SpanContext, obs *pattern.Pattern, seed uint64) []core.Algorithm {
 	coloredKey := fmt.Sprintf("colored|%s|%d:%#x:%#x|%#x",
 		f.topo, len(obs.Flows), obs.TotalBytes(), obs.Fingerprint(), seed)
 	return []core.Algorithm{
@@ -270,6 +271,9 @@ func (f *Fabric) candidates(obs *pattern.Pattern, seed uint64) []core.Algorithm 
 		core.NewRandomNCAUp(f.topo, seed),
 		core.NewRandomNCADown(f.topo, seed),
 		f.cache.MemoAlgorithm(coloredKey, func() core.Algorithm {
+			cs := f.tracer.StartChild(parent, spanColored)
+			defer cs.End()
+			cs.SetAttr(attrPairs, int64(len(obs.Flows)))
 			return core.NewColored(f.topo, []*pattern.Pattern{obs}, core.ColoredConfig{Seed: seed})
 		}),
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/evaluate"
 	"repro/internal/hashutil"
 	"repro/internal/pattern"
+	"repro/internal/trace"
 	"repro/internal/xgft"
 )
 
@@ -87,7 +88,7 @@ func TestOptimizeIncrementalMatchesFull(t *testing.T) {
 			t.Fatalf("faulted=%v: the adversarial pattern did not swap d-mod-k out: %+v", faulted, res)
 		}
 		var best *core.Table
-		for _, cand := range f.candidates(obs, seed) {
+		for _, cand := range f.candidates(trace.SpanContext{}, obs, seed) {
 			if cand.Name() == res.Best {
 				if best, err = f.cache.Build(tp, cand, f.pairs); err != nil {
 					t.Fatal(err)

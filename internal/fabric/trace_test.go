@@ -171,8 +171,10 @@ func TestOptimizeSpansAndFlipFlopAnomaly(t *testing.T) {
 	}
 
 	// The pass spans recorded the decisions: three fabric.optimize
-	// spans, the candidate children under the sampled ones.
-	var passes, cands int
+	// spans, the candidate children under the sampled ones, and one
+	// Colored build — passes 2 and 3 see the same traffic and hit the
+	// memo.
+	var passes, cands, colored int
 	for _, r := range tr.Spans(0) {
 		switch r.Name {
 		case "fabric.optimize":
@@ -185,6 +187,11 @@ func TestOptimizeSpansAndFlipFlopAnomaly(t *testing.T) {
 			if _, ok := r.Attrs["slowdown_ppm"]; !ok {
 				t.Errorf("candidate span lacks slowdown_ppm: %+v", r)
 			}
+		case "fabric.optimize.colored":
+			colored++
+			if r.Attrs["pairs"] <= 0 {
+				t.Errorf("colored span lacks a positive pairs attr: %+v", r)
+			}
 		}
 	}
 	if passes != 3 {
@@ -192,6 +199,9 @@ func TestOptimizeSpansAndFlipFlopAnomaly(t *testing.T) {
 	}
 	if cands != 12 { // 4 candidates per pass
 		t.Errorf("recorded %d candidate spans, want 12", cands)
+	}
+	if colored != 1 {
+		t.Errorf("recorded %d colored spans, want 1", colored)
 	}
 
 	// The span names the fabric exports cover everything recorded.

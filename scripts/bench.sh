@@ -10,7 +10,8 @@
 # `baseline` runs the hot-path benchmarks (ResolveBatch and the packed
 # variant, wire encode/decode and end-to-end, evaluator cache, the
 # incremental-evaluation paths: LoadState route deltas, one Optimize
-# pass, incremental vs full-rescore placement) with
+# pass over replayed and over fresh traffic, one Colored build,
+# incremental vs full-rescore placement) with
 # -count=5 and commits the min-of-runs ns/op per benchmark to
 # scripts/bench_baseline.json; `gate` repeats the run and fails (via
 # cmd/benchgate) when any gated benchmark regressed more than 10%
@@ -29,8 +30,8 @@ cd "$(dirname "$0")/.."
 # (internal/benchcal) that benchgate divides out. Anchored so e.g.
 # ResolveBatch does not also pull in every sized variant that may
 # appear later.
-gate_bench='^(BenchmarkResolveBatch|BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkPlaceIncremental|BenchmarkPlaceFullRescore|BenchmarkCalibration)$'
-gate_pkgs='./internal/fabric ./internal/wire ./internal/evaluate ./internal/sched'
+gate_bench='^(BenchmarkResolveBatch|BenchmarkResolveBatchPackedTraced|BenchmarkResolveBatchPacked|BenchmarkResolveBatchPackedObserved|BenchmarkWireEncodeRequest|BenchmarkWireDecodeRequest|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkWireResolveEndToEnd|BenchmarkCachedScoreHit|BenchmarkCachedScoreRoutesHit|BenchmarkApplyRouteDelta|BenchmarkOptimize|BenchmarkOptimizeFresh|BenchmarkNewColored|BenchmarkPlaceIncremental|BenchmarkPlaceFullRescore|BenchmarkCalibration)$'
+gate_pkgs='./internal/core ./internal/fabric ./internal/wire ./internal/evaluate ./internal/sched'
 
 run_gated() {
     # -benchtime=100ms gives every benchmark hundreds-to-thousands of
@@ -68,7 +69,7 @@ baseline)
 *)
     out="BENCH_$(date +%Y-%m-%d).json"
     go test -run='^$' -bench=. -benchtime=1x -json "$@" \
-        ./internal/evaluate ./internal/fabric ./internal/wire ./internal/experiments . \
+        ./internal/core ./internal/evaluate ./internal/fabric ./internal/wire ./internal/experiments . \
         >"$out"
     count=$(grep -c '"Output".*ns/op' "$out" || true)
     echo "wrote $out ($count benchmark results)"
